@@ -4,9 +4,10 @@ Three arms, written to ``BENCH_scale.json``:
 
 * **Cost scaling** — the exact MVA recursion is O(N x K); timed at
   N=10^3 and 10^4 and extrapolated linearly to 10^5, it must be >= 100x
-  slower than the fluid solver's *measured* cost there.  The fluid
-  solver is also timed at N=10^3..10^9 to demonstrate per-solve cost
-  independent of the population.
+  slower than the fluid solver's *measured* cost there.  Both methods of
+  the N-independent kernel (Schweitzer and fluid) are timed at
+  N=10^3..10^9, and each must cost at N=10^9 no more than 5x its N=10^3
+  solve: per-solve cost flat in the population.
 * **Accuracy** — on a small wide topology (every approximation engages,
   the exact per-node solve is still feasible) the hierarchical backend
   must match the exact one to float precision, the fluid backend must
@@ -31,8 +32,12 @@ from repro.experiments import scale
 from repro.experiments.runner import ExperimentConfig
 from repro.model.analytic import AnalyticBackend
 from repro.model.base import Scenario
-from repro.model.fluid import solve_mva_fluid
-from repro.model.mva import Station, solve_mva_exact
+from repro.model.mva import (
+    Station,
+    solve_mva,
+    solve_mva_exact,
+    solve_mva_fluid,
+)
 from repro.model.noise import NoiseModel
 from repro.parallel import SharedEngine
 from repro.tpcw.interactions import STANDARD_MIXES
@@ -43,6 +48,9 @@ RESULT_PATH = pathlib.Path(__file__).parent.parent / "BENCH_scale.json"
 #: Representative station demands (seconds/interaction) for the solver
 #: cost arm — nine single-server stations, the shape of a mid-size tier.
 DEMANDS = (0.010, 0.012, 0.008, 0.004, 0.006, 0.002, 0.009, 0.003, 0.005)
+
+#: Largest allowed cost ratio between an N=10^9 and an N=10^3 solve.
+FLAT_IN_N = 5.0
 
 #: Reduced protocol for the end-to-end arm (full protocol: 200).
 SCALE_REDUCED = dict(iterations=10, baseline_iterations=4)
@@ -97,16 +105,23 @@ def test_scale_axis(report):
     }
     # Exact MVA is linear in N: extrapolate the 10^4 timing to 10^5.
     t_exact_1e5_extrapolated = t_exact[10_000] * 10.0
+    populations = (1_000, 100_000, 1_000_000, 10**9)
     t_fluid = {
         n: _best_of(lambda n=n: solve_mva_fluid(stations, n, 1.0))
-        for n in (1_000, 100_000, 1_000_000, 10**9)
+        for n in populations
+    }
+    t_schweitzer = {
+        n: _best_of(lambda n=n: solve_mva(stations, n, 1.0))
+        for n in populations
     }
     exact_vs_fluid = t_exact_1e5_extrapolated / t_fluid[100_000]
     assert exact_vs_fluid >= 100.0
-    # Population independence: the fluid solve at N=10^9 costs no more
-    # than a small multiple of the N=10^3 solve (both are a handful of
-    # bisection steps; 5x absorbs timer noise on loaded CI hosts).
-    assert t_fluid[10**9] <= t_fluid[1_000] * 5.0 + 1e-4
+    # Population independence, for both methods of the one kernel: the
+    # solve at N=10^9 costs no more than a small multiple of the N=10^3
+    # solve (both are a handful of Newton steps; 5x absorbs timer noise
+    # on loaded CI hosts).
+    assert t_fluid[10**9] <= t_fluid[1_000] * FLAT_IN_N + 1e-4
+    assert t_schweitzer[10**9] <= t_schweitzer[1_000] * FLAT_IN_N + 1e-4
 
     # --- arm B: accuracy on a small wide topology ------------------------
     cluster = ClusterSpec.wide(2, 2, 1, name="wide-audit")
@@ -152,9 +167,10 @@ def test_scale_axis(report):
     assert 0.9 <= r_inline.des_over_exact_ratio <= 1.1
 
     payload = {
-        "schema": "bench_scale/v1",
+        "schema": "bench_scale/v2",
         "description": (
-            "Scale axis: exact-vs-fluid solver cost, approximation "
+            "Scale axis: exact-recursion-vs-fluid solver cost and "
+            "population-flat kernel cost for both methods, approximation "
             "accuracy bands on a small wide topology (incl. DES "
             "cross-check), and the reduced scale experiment tuning a "
             "208-node cluster at N=10^6, bit-identical across engines."
@@ -167,8 +183,12 @@ def test_scale_axis(report):
                 t_exact_1e5_extrapolated, 6
             ),
             "fluid_seconds": {str(n): round(t, 6) for n, t in t_fluid.items()},
+            "schweitzer_seconds": {
+                str(n): round(t, 6) for n, t in t_schweitzer.items()
+            },
             "exact_vs_fluid_speedup_1e5": round(exact_vs_fluid, 1),
             "speedup_gate": 100.0,
+            "flat_in_n_gate": FLAT_IN_N,
         },
         "accuracy": {
             "cluster": "wide(2, 2, 1)",
@@ -210,6 +230,8 @@ def test_scale_axis(report):
         f"  fluid solver   N=1e5 {t_fluid[100_000] * 1e6:8.1f} us, "
         f"N=1e9 {t_fluid[10**9] * 1e6:.1f} us  "
         f"({exact_vs_fluid:.0f}x faster than exact at N=1e5)",
+        f"  Schweitzer     N=1e3 {t_schweitzer[1_000] * 1e6:8.1f} us, "
+        f"N=1e9 {t_schweitzer[10**9] * 1e6:.1f} us",
         f"  accuracy: hier {hier_err:.1e}, fluid {fluid_err:.1e} rel "
         f"error vs exact; DES/fluid ratio {des_ratio:.3f}",
         f"  end to end: {r_inline.num_nodes} nodes at N=1e6 tuned in "

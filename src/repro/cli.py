@@ -139,10 +139,10 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--approximation", choices=APPROXIMATIONS, default="auto",
         help=(
-            "MVA approximation level: auto picks fluid and/or hierarchical "
-            "aggregation from population and cluster width; exact forces "
-            "the per-node Schweitzer solve and refuses huge populations "
-            "(default: auto)"
+            "MVA approximation level: auto picks the fluid limit and/or "
+            "hierarchical aggregation from population and cluster width; "
+            "exact forces the per-node Schweitzer solve, which costs the "
+            "same at any population (default: auto)"
         ),
     )
     parser.add_argument("--seed", type=int, default=0, help="root random seed")
@@ -155,21 +155,6 @@ def _scenario(args: argparse.Namespace) -> Scenario:
         mix=STANDARD_MIXES[args.mix],
         population=args.population,
     )
-
-
-def _backend(args: argparse.Namespace, scenario: Scenario, **kwargs):
-    """An :class:`AnalyticBackend` honouring ``--approximation``.
-
-    Mode resolution runs eagerly so that ``--approximation exact`` with a
-    huge ``--population`` dies with a parser error in milliseconds, not
-    hours into an O(N) exact solve.
-    """
-    backend = AnalyticBackend(approximation=args.approximation, **kwargs)
-    try:
-        backend.resolve_modes(scenario.cluster, scenario.population)
-    except ValueError as exc:
-        raise SystemExit(f"repro: error: {exc}")
-    return backend
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,9 +362,8 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     from repro.tuning.session import ClusterTuningSession
 
     scenario = _scenario(args)
-    session = ClusterTuningSession(
-        _backend(args, scenario), scenario, seed=args.seed
-    )
+    backend = AnalyticBackend(approximation=args.approximation)
+    session = ClusterTuningSession(backend, scenario, seed=args.seed)
     stats = session.measure_baseline(iterations=args.repeats).window_stats(0)
     print(
         f"{args.mix} mix, {scenario.cluster!r}, N={args.population}: "
@@ -395,7 +379,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
     scenario = _scenario(args)
     _apply_durability(args)
-    backend = _backend(args, scenario)
+    backend = AnalyticBackend(approximation=args.approximation)
     resilience = None
     plan = None
     if args.faults:
@@ -488,8 +472,9 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
 
     scenario = _scenario(args)
     names = args.params.split(",") if args.params else None
+    backend = AnalyticBackend(approximation=args.approximation)
     report = sensitivity_report(
-        _backend(args, scenario), scenario, names=names,
+        backend, scenario, names=names,
         points=args.points, repeats=args.repeats, seed=args.seed,
     )
     print(report.to_table(top=args.top))
@@ -625,7 +610,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
     scenario = _scenario(args)
     cfg = scenario.cluster.default_configuration()
-    analytic = _backend(args, scenario, noise=NoiseModel(0.0, 0.0, 0.0))
+    analytic = AnalyticBackend(
+        approximation=args.approximation, noise=NoiseModel(0.0, 0.0, 0.0)
+    )
     des = SimulationBackend(
         time_scale=args.time_scale,
         replications=args.replications,

@@ -5,15 +5,14 @@ closed queueing-network model solved by approximate Mean Value Analysis:
 
 * :mod:`repro.model.base` — the backend interface (:class:`Scenario` in,
   :class:`Measurement` out) shared with the discrete-event backend,
-* :mod:`repro.model.mva` — single-class Schweitzer AMVA with Seidmann's
-  multi-server transformation,
+* :mod:`repro.model.mva` — single-class Schweitzer AMVA and its fluid
+  (mean-field) limit, one N-independent root-find per network, with
+  Seidmann's multi-server transformation,
 * :mod:`repro.model.pools` — M/M/c/K waiting/blocking corrections for the
   finite thread/connection pools (``maxProcessors``, ``acceptCount``,
   ``max_connections``…),
 * :mod:`repro.model.demands` — assembles per-node station demands from the
   server models of :mod:`repro.cluster`,
-* :mod:`repro.model.fluid` — the O(stations), population-independent
-  fluid/mean-field solver for very large N,
 * :mod:`repro.model.hierarchy` — replica-group detection for hierarchical
   (one-representative-per-tier) aggregation,
 * :mod:`repro.model.analytic` — the :class:`AnalyticBackend` fixed-point
@@ -28,9 +27,14 @@ from repro.model.base import (
     ResourceUtilization,
     Scenario,
 )
-from repro.model.fluid import solve_mva_fluid
 from repro.model.hierarchy import AggregationPlan, aggregation_plan
-from repro.model.mva import MvaResult, Station, solve_mva, solve_mva_exact
+from repro.model.mva import (
+    MvaResult,
+    Station,
+    solve_mva,
+    solve_mva_exact,
+    solve_mva_fluid,
+)
 from repro.model.mva_multiclass import (
     CustomerClass,
     MultiClassResult,

@@ -15,13 +15,13 @@ The result is deterministic; the configured :class:`NoiseModel` then turns
 the model throughput into one noisy "measured" WIPS per seed, exactly the
 signal the Harmony server consumes.
 
-Because step 2 dominates, the backend also exposes a batched path:
+The backend also exposes a batched path:
 :meth:`AnalyticBackend.solve_batch` runs the outer fixed point for many
 configurations in lockstep, submitting every active configuration's
-network to :func:`repro.model.mva.solve_mva_batch` as one vectorized
-solve per outer iteration.  Each configuration's trajectory is
-independent (converged ones are frozen), so batched solutions are
-bit-identical to scalar ones.  :meth:`AnalyticBackend.measure_batch`
+network to :func:`repro.model.mva.solve_mva_batch` once per outer
+iteration.  Each configuration's trajectory is independent (converged
+ones are frozen, and the inner solve is per row), so batched solutions
+are bit-identical to scalar ones.  :meth:`AnalyticBackend.measure_batch`
 builds on it, deduplicating identical configurations (only the noise
 draw depends on the seed) and consulting a per-backend LRU solution
 cache keyed on ``(scenario fingerprint, configuration)``.
@@ -58,16 +58,18 @@ __all__ = ["AnalyticBackend", "AnalyticSolution", "APPROXIMATIONS"]
 NETWORK_RTT = 5e-3
 
 #: Valid values of :class:`AnalyticBackend`'s ``approximation`` knob.
+#: Every mode solves each inner network with the same N-independent
+#: kernel of :mod:`repro.model.mva`; they differ only in what they solve.
 #:
-#: - ``"exact"``       — per-node Schweitzer AMVA, the pre-scale-axis
-#:   behaviour (refuses populations beyond ``max_exact_population``);
-#: - ``"fluid"``       — the O(stations), population-independent
-#:   mean-field solve of :mod:`repro.model.fluid`;
+#: - ``"exact"``       — per-node Schweitzer AMVA (no aggregation, no
+#:   fluid limit), at any population;
+#: - ``"fluid"``       — the mean-field limit (``method="fluid"`` rows);
 #: - ``"hierarchical"`` — one representative station per homogeneous
 #:   replica group (:mod:`repro.model.hierarchy`), Schweitzer solve;
 #: - ``"fluid+hierarchical"`` — both: tier aggregation and fluid rows;
-#: - ``"auto"``        — fluid above ``fluid_population_threshold``,
-#:   hierarchical at or above ``hierarchy_node_threshold`` nodes.
+#: - ``"auto"``        — fluid at or above
+#:   :data:`_FLUID_POPULATION_THRESHOLD` customers, hierarchical at or
+#:   above ``hierarchy_node_threshold`` nodes.
 APPROXIMATIONS = (
     "auto",
     "exact",
@@ -75,6 +77,11 @@ APPROXIMATIONS = (
     "hierarchical",
     "fluid+hierarchical",
 )
+
+#: Population at which ``approximation="auto"`` switches to the fluid
+#: limit.  Below it Schweitzer is the more accurate of the two; from
+#: N = 10^5 up they agree to within 2/N (``tests/test_scale.py``).
+_FLUID_POPULATION_THRESHOLD = 50_000
 
 
 @dataclass(frozen=True)
@@ -257,9 +264,7 @@ class AnalyticBackend(PerformanceBackend):
         solution_cache_size: int = 4096,
         prefetch_outer_budget: Optional[int] = None,
         approximation: str = "auto",
-        fluid_population_threshold: int = 50_000,
         hierarchy_node_threshold: int = 16,
-        max_exact_population: int = 200_000,
     ) -> None:
         if not 0.0 < damping <= 1.0:
             raise ValueError("damping must be in (0, 1]")
@@ -272,16 +277,10 @@ class AnalyticBackend(PerformanceBackend):
                 f"unknown approximation {approximation!r}; expected one of "
                 f"{APPROXIMATIONS}"
             )
-        if fluid_population_threshold < 1:
-            raise ValueError("fluid_population_threshold must be >= 1")
         if hierarchy_node_threshold < 1:
             raise ValueError("hierarchy_node_threshold must be >= 1")
-        if max_exact_population < 1:
-            raise ValueError("max_exact_population must be >= 1")
         self.approximation = approximation
-        self.fluid_population_threshold = fluid_population_threshold
         self.hierarchy_node_threshold = hierarchy_node_threshold
-        self.max_exact_population = max_exact_population
         self.noise = noise if noise is not None else NoiseModel()
         self.memory = memory or MemoryModel()
         self.max_outer = max_outer
@@ -325,32 +324,16 @@ class AnalyticBackend(PerformanceBackend):
         """What the ``approximation`` policy does for this solve.
 
         Returns ``(use_fluid, use_hierarchical)``.  ``"auto"`` engages
-        the fluid solver once the population reaches
-        ``fluid_population_threshold`` (below it Schweitzer is both cheap
-        and more accurate) and tier aggregation once the cluster reaches
+        the fluid limit once the population reaches
+        :data:`_FLUID_POPULATION_THRESHOLD` (below it Schweitzer is the
+        more accurate) and tier aggregation once the cluster reaches
         ``hierarchy_node_threshold`` nodes (below it there is nothing
-        worth collapsing).  ``"exact"`` refuses populations beyond
-        ``max_exact_population`` outright — at that scale the Schweitzer
-        fixed point needs thousands of iterations per outer round and a
-        tuning run would take hours; the error names the knobs to turn
-        instead of letting the caller find out the slow way.
+        worth collapsing).
         """
         mode = self.approximation
-        if mode == "exact":
-            if population > self.max_exact_population:
-                raise ValueError(
-                    f"approximation='exact' refuses population="
-                    f"{population} (> max_exact_population="
-                    f"{self.max_exact_population}): the exact solve cost "
-                    f"grows with N and this would effectively hang.  Use "
-                    f"approximation='fluid' (or 'auto') for large "
-                    f"populations, or raise max_exact_population if you "
-                    f"really mean it."
-                )
-            return False, False
         if mode == "auto":
             return (
-                population >= self.fluid_population_threshold,
+                population >= _FLUID_POPULATION_THRESHOLD,
                 cluster.num_nodes >= self.hierarchy_node_threshold,
             )
         return "fluid" in mode, "hierarchical" in mode
@@ -417,8 +400,8 @@ class AnalyticBackend(PerformanceBackend):
         Each outer iteration submits every still-active configuration's
         network as one :func:`solve_mva_batch` call; configurations whose
         outer fixed point has converged are frozen.  The per-configuration
-        trajectories are exactly those of :meth:`solve` (the batched MVA is
-        bit-identical per row), so the returned solutions equal the scalar
+        trajectories are exactly those of :meth:`solve` (the inner solve is
+        per row), so the returned solutions equal the scalar
         ones bit for bit.
         """
         return self.solve_tasks(
@@ -442,12 +425,6 @@ class AnalyticBackend(PerformanceBackend):
         scenario's work lines and a speculative cross-group frontier need.
         Each task's trajectory is independent and bit-identical to
         :meth:`solve` on the same task.
-
-        Every size runs through :func:`solve_mva_batch`: its python
-        finisher takes over once at most two rows remain active, so even
-        one- and two-task sets beat the scalar solver (the array kernel's
-        per-iteration overhead used to lose below ≈3 rows).  Identical
-        results either way — the engines are bit-identical by contract.
 
         ``outer_budget`` caps the outer rounds *without* compromising
         results: a task whose fixed point converges within the budget

@@ -1,23 +1,44 @@
-"""Single-class approximate Mean Value Analysis (Schweitzer).
+"""Single-class approximate Mean Value Analysis: one root-find per network.
 
 Solves a closed queueing network with ``N`` customers, a think-time delay
 ``Z``, and a set of queueing stations.  Multi-server stations use Seidmann's
 transformation: an *m*-server station with per-visit demand ``D`` behaves
 (approximately) like a single-server station of demand ``D/m`` in series
-with a pure delay of ``D·(m-1)/m``.  Schweitzer's fixed point replaces the
-exact MVA population recursion, making the solve O(iterations × stations)
-independent of ``N`` — this is what lets the benchmark harness run hundreds
-of 23-parameter tuning iterations in milliseconds.
+with a pure delay of ``D·(m-1)/m``.
 
-:func:`solve_mva_batch` solves B independent networks in one vectorized
-fixed point (stations stacked on a batch axis, per-row convergence
-masking).  Each row performs exactly the floating-point operations of the
-scalar solver, so batched and scalar results are bit-identical — callers
-that evaluate many configurations against one scenario can batch freely
-without perturbing results.
+After that split, both approximations this module offers are one
+monotone scalar equation in the throughput ``X``::
+
+    X·z + Σ_k m_k · r_k / (1 − a·r_k) = N,     r_k = X·D_k
+
+where ``D_k`` is station k's queueing demand, ``m_k`` its multiplicity,
+``z`` the think time plus every pure delay, and ``a`` the
+arrival-theorem coefficient.  Schweitzer's fixed point (an arriving
+customer sees ``(N−1)/N`` of the queue) is ``a = (N−1)/N``.  The fluid /
+mean-field limit is ``a = 1``.  At ``N = 1`` Schweitzer's equation is
+linear and exact.
+
+The kernel divides the bottleneck pole out.  In ``y``, the bottleneck
+replica's queue, the equation becomes::
+
+    Σ_j w_j · y / (1 + b_j·y) = N
+
+The think term has ``w = z/D_max, b = a``; station k has
+``w = m_k·D_k/D_max, b = a·(D_max − D_k)/D_max``.  Every term is
+increasing and concave with no pole on ``y ≥ 0``.  So Newton's method
+started below the root climbs monotonically onto it.  The start is the
+larger of two closed-form lower bounds, and a solve takes a handful of
+steps at any ``N``: the cost is O(steps × stations), independent of the
+population.  Throughput, residence and queues follow from the root in
+closed form, without the cancellation in ``1 − a·r_k`` near saturation.
+
+:func:`solve_mva_batch` loops over rows.  :func:`solve_mva` and
+:func:`solve_mva_fluid` solve one network the same way, so scalar and
+batched results are bit-identical by construction.
 
 References: Reiser & Lavenberg (exact MVA); Schweitzer 1979; Seidmann,
-Schweitzer & Shalev-Oren 1987.
+Schweitzer & Shalev-Oren 1987; Chen & Yao, *Fundamentals of Queueing
+Networks* (fluid limits).
 """
 
 from __future__ import annotations
@@ -36,6 +57,7 @@ __all__ = [
     "solve_mva",
     "solve_mva_batch",
     "solve_mva_exact",
+    "solve_mva_fluid",
 ]
 
 
@@ -47,8 +69,7 @@ class Station:
     for that many identical replicas (hierarchical MVA over a homogeneous
     tier).  Per-station outputs (residence, queue, utilization) describe a
     single replica; network-level sums weight the station by its
-    multiplicity.  The default of 1 is an ordinary station and leaves
-    every solver bit-identical to the pre-multiplicity code.
+    multiplicity.  The default of 1 is an ordinary station.
     """
 
     name: str
@@ -79,9 +100,9 @@ class MvaResult:
     queue: dict[str, float]
     #: Per-station utilization (fraction of total service capacity busy).
     utilization: dict[str, float]
-    #: Fixed-point iterations used.
+    #: Newton steps used (0 for a network with no queueing).
     iterations: int
-    #: Whether the fixed point met the tolerance within ``max_iter``.
+    #: Whether the root was found within ``max_iter`` steps.
     converged: bool = True
 
     def bottleneck(self) -> str:
@@ -89,119 +110,23 @@ class MvaResult:
         return max(self.utilization, key=self.utilization.get)  # type: ignore[arg-type]
 
 
-def solve_mva(
-    stations: Sequence[Station],
-    population: int,
-    think_time: float,
-    extra_delay: float = 0.0,
-    tol: float = 1e-7,
-    max_iter: int = 10_000,
-) -> MvaResult:
-    """Solve the closed network via the Schweitzer fixed point.
-
-    Parameters
-    ----------
-    stations:
-        Queueing stations (multi-server handled via Seidmann).
-    population:
-        Number of circulating customers (emulated browsers), >= 1.
-    think_time:
-        Pure delay per cycle (EB think time), seconds.
-    extra_delay:
-        Additional pure delay per cycle (e.g. pool waiting times computed by
-        an outer fixed point, or network propagation).
-    """
-    if population < 1:
-        raise ValueError("population must be >= 1")
-    if think_time < 0 or extra_delay < 0:
-        raise ValueError("delays must be non-negative")
-    n = len(stations)
-    if n == 0:
-        total_delay = think_time + extra_delay
-        x = population / total_delay if total_delay > 0 else float("inf")
-        return MvaResult(x, extra_delay, {}, {}, {}, 0)
-
-    demand = np.array([s.demand for s in stations], dtype=float)
-    servers = np.array([s.servers for s in stations], dtype=float)
-    mult = np.array([s.multiplicity for s in stations], dtype=float)
-    # Aggregated stations weight network-level sums by their replica
-    # count; the all-ones case keeps the exact pre-multiplicity
-    # expressions so existing results stay bit-identical.  Exactness is
-    # the point: multiplicities are integers stored exactly in floats.
-    weighted = bool((mult != 1.0).any())  # repro: noqa[RPL004]
-    # Seidmann: queueing part D/m, delay part D*(m-1)/m.
-    q_demand = demand / servers
-    s_delay = demand * (servers - 1.0) / servers
-    if weighted:
-        z = think_time + extra_delay + float((s_delay * mult).sum())
-        n_eff = float(mult.sum())
-    else:
-        z = think_time + extra_delay + float(s_delay.sum())
-        n_eff = float(max(n, 1))
-
-    N = float(population)
-    queue = np.full(n, N / n_eff * 0.5)
-    x = 0.0
-    it = 0
-    converged = False
-    for it in range(1, max_iter + 1):
-        # Schweitzer: arriving customer sees (N-1)/N of the queue.
-        residence = q_demand * (1.0 + queue * (N - 1.0) / N)
-        if weighted:
-            total = z + float((residence * mult).sum())
-        else:
-            total = z + float(residence.sum())
-        x_new = N / total if total > 0 else float("inf")
-        queue_new = x_new * residence
-        if abs(x_new - x) <= tol * max(x_new, 1e-12) and np.all(
-            np.abs(queue_new - queue) <= tol * np.maximum(queue_new, 1e-9)
-        ):
-            x, queue = x_new, queue_new
-            converged = True
-            break
-        x, queue = x_new, queue_new
-    if not converged:
-        warnings.warn(
-            f"MVA fixed point did not converge within {max_iter} iterations "
-            f"(N={population}, {n} stations); returning the last iterate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-    residence = q_demand * (1.0 + queue * (N - 1.0) / N) + s_delay
-    utilization = np.minimum(x * demand / servers, 1.0)
-    if weighted:
-        response = float((residence * mult).sum()) + extra_delay
-    else:
-        response = float(residence.sum()) + extra_delay
-    return MvaResult(
-        throughput=float(x),
-        response_time=response,
-        residence={s.name: float(r) for s, r in zip(stations, residence)},
-        queue={
-            s.name: float(q + x * d)
-            for s, q, d in zip(stations, queue, s_delay)
-        },
-        utilization={s.name: float(u) for s, u in zip(stations, utilization)},
-        iterations=it,
-        converged=converged,
-    )
-
-
 #: Solution methods a :class:`MvaNetwork` row may request.
 MVA_METHODS = ("schweitzer", "fluid")
+
+#: Relative Newton step at which a root counts as found.  Convergence is
+#: quadratic, so the next step would move the root by ~1e-24 relative:
+#: below the last bit of a double.
+_STEP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class MvaNetwork:
     """One closed network in a :func:`solve_mva_batch` submission.
 
-    ``method`` selects the solver for this row: ``"schweitzer"`` (the
-    default fixed point) or ``"fluid"`` (the O(stations),
-    population-independent mean-field solve of
-    :mod:`repro.model.fluid`).  A batch may mix methods freely — rows
-    are grouped per ``(method, station count)`` and each group runs its
-    own vectorized kernel.
+    ``method`` selects the arrival-theorem coefficient of the row's
+    population equation: ``"schweitzer"`` (the default, ``a = (N-1)/N``)
+    or ``"fluid"`` (the mean-field limit, ``a = 1``).  Both run the same
+    kernel at the same cost; a batch may mix them freely.
     """
 
     stations: tuple[Station, ...]
@@ -222,334 +147,151 @@ class MvaNetwork:
             )
 
 
-#: Active-row count at or below which the vectorized loop hands the rest
-#: of the solve to the per-row python finisher.  A fixed-point iteration
-#: on one or two rows of a dozen stations is dominated by per-call array
-#: overhead, not arithmetic — the straggler tail of a large batch (the
-#: last rows to converge) otherwise costs more per row than the bulk.
-_PYTHON_TAIL_MAX = 2
+def _solve_network(net: MvaNetwork, max_iter: int) -> MvaResult:
+    """Newton root of one network's population equation, outputs in
+    closed form from the root (see the module docstring)."""
+    stations = net.stations
+    N = float(net.population)
+    a = 1.0 if net.method == "fluid" else (N - 1.0) / N
+    mult = [s.multiplicity for s in stations]
+    # Seidmann: queueing part D/m, delay part D*(m-1)/m.
+    q_demand = [s.demand / s.servers for s in stations]
+    s_delay = [s.demand * (s.servers - 1.0) / s.servers for s in stations]
+    z = net.think_time + net.extra_delay
+    z += sum(m * d for m, d in zip(mult, s_delay))
+    d_max = max(q_demand, default=0.0)
+    if d_max <= 0.0:
+        # No queueing anywhere (demand is non-negative, so every station
+        # is idle): a pure delay system.
+        x = N / z if z > 0 else float("inf")
+        idle = {s.name: 0.0 for s in stations}
+        return MvaResult(x, net.extra_delay, idle, dict(idle), dict(idle), 0)
 
-
-def _finish_rows_python(
-    idx: np.ndarray,
-    w_qd: np.ndarray,
-    w_N: np.ndarray,
-    w_z: np.ndarray,
-    w_x: np.ndarray,
-    w_queue: np.ndarray,
-    w_mult: np.ndarray | None,
-    guard_div: bool,
-    start_it: int,
-    tol: float,
-    max_iter: int,
-    x: np.ndarray,
-    queue: np.ndarray,
-    iters: np.ndarray,
-    active: np.ndarray,
-) -> None:
-    """Continue the still-active rows one at a time, scalar python.
-
-    Runs the same IEEE-double operations the vectorized loop would: the
-    per-row arithmetic is element-wise (python floats are the same
-    binary64), and the residence sum goes through the same numpy
-    reduction.  Only the engine changes, never the math — results are
-    bit-identical to letting the array loop finish.
-    """
-    for pos in range(len(idx)):
-        row = int(idx[pos])
-        qd = w_qd[pos].tolist()
-        n = len(qd)
-        N = float(w_N[pos])
-        z = float(w_z[pos])
-        nm1 = N - 1.0
-        x_r = float(w_x[pos])
-        q = w_queue[pos].tolist()
-        # The residence sum must go through the numpy reduction (pairwise
-        # summation — a plain python sum() associates differently), so the
-        # python-computed elements are bulk-copied into one array per
-        # iteration.  Element values are exact either way: python floats
-        # are the same binary64 the array holds.
-        res = np.empty(n)
-        mult_row = None if w_mult is None else w_mult[pos]
-        wres = None if mult_row is None else np.empty(n)
-        for it in range(start_it, max_iter + 1):
-            res_l = [a * (1.0 + (b * nm1) / N) for a, b in zip(qd, q)]
-            res[:] = res_l
-            if mult_row is None:
-                total = z + float(res.sum())
-            else:
-                np.multiply(res, mult_row, out=wres)
-                total = z + float(wres.sum())
-            if guard_div and total <= 0:
-                x_new = float("inf")
-            else:
-                x_new = N / total
-            q_new = [x_new * r for r in res_l]
-            converged = abs(x_new - x_r) <= tol * max(x_new, 1e-12)
-            if converged:
-                for a, b in zip(q_new, q):
-                    if not abs(a - b) <= tol * max(a, 1e-9):
-                        converged = False
-                        break
-            x_r, q = x_new, q_new
-            if converged:
-                x[row] = x_r
-                queue[row] = q
-                iters[row] = it
-                active[row] = False
-                break
-        if active[row]:  # exhausted max_iter
-            x[row] = x_r
-            queue[row] = q
-            iters[row] = max_iter
-
-
-def _solve_batch_group(
-    networks: Sequence[MvaNetwork],
-    tol: float,
-    max_iter: int,
-) -> list[MvaResult]:
-    """Vectorized Schweitzer fixed point for networks of equal station count.
-
-    Every row executes exactly the scalar solver's floating-point
-    operations (same operation order, same dtype), with converged rows
-    frozen by masking, so each row's result is bit-identical to
-    :func:`solve_mva` on that network alone.  The iteration body writes
-    into preallocated ping-pong buffers (``out=`` ufunc calls): same
-    operations, no per-iteration allocations.
-    """
-    B = len(networks)
-    n = len(networks[0].stations)
-    demand = np.array(
-        [[s.demand for s in net.stations] for net in networks], dtype=float
-    )
-    servers = np.array(
-        [[s.servers for s in net.stations] for net in networks], dtype=float
-    )
-    mult = np.array(
-        [[s.multiplicity for s in net.stations] for net in networks],
-        dtype=float,
-    )
-    # Integer multiplicities are stored exactly; equality IS the test.
-    weighted = bool((mult != 1.0).any())  # repro: noqa[RPL004]
-    q_demand = demand / servers
-    s_delay = demand * (servers - 1.0) / servers
-    N = np.array([float(net.population) for net in networks])
-    extra = np.array([net.extra_delay for net in networks])
-    if weighted:
-        z = (
-            np.array([net.think_time for net in networks]) + extra
-        ) + (s_delay * mult).sum(axis=1)
-        n_eff = mult.sum(axis=1)
-    else:
-        z = (
-            np.array([net.think_time for net in networks]) + extra
-        ) + s_delay.sum(axis=1)
-        n_eff = float(max(n, 1))
-
-    # Final per-row state, filled in as rows converge.
-    queue = np.empty((B, n))
-    queue[:] = (N / n_eff * 0.5)[:, None]
-    x = np.zeros(B)
-    active = np.ones(B, dtype=bool)
-    iters = np.zeros(B, dtype=int)
-
-    # Working copies holding only the still-active rows; converged rows are
-    # compacted away so laggards don't drag the whole batch along.  Row
-    # slicing keeps every element's operation sequence identical to the
-    # scalar solver, so compaction cannot perturb results.
-    idx = np.arange(B)
-    w_qd, w_N, w_z = q_demand, N, z
-    w_mult = mult if weighted else None
-    w_queue, w_x = queue.copy(), x.copy()
-    # Loop invariants, rebuilt only when compaction changes the row set.
-    # ``(Ncol - 1.0)`` hoisted out of the loop is the same value it was
-    # inside it, so per-element arithmetic (and bit-identity with the
-    # scalar solver) is untouched.
-    w_Ncol = w_N[:, None]
-    w_Nm1 = w_Ncol - 1.0
-    # ``total`` >= z element-wise (residence is non-negative), so when every
-    # row has positive delay the guarded division can never hit 0 and the
-    # compare/select pair is dead weight; np.where(total > 0, a, inf) == a.
-    guard_div = not bool((w_z > 0).all())
-    # Ping-pong/scratch buffers for the iteration body, rebuilt on
-    # compaction.  ``scratch`` receives the new residence/queue, ``w_x2``
-    # the new throughput; the roles swap each iteration.  Batches small
-    # enough to go straight to the python finisher never need them.
-    if B > _PYTHON_TAIL_MAX:
-        scratch = np.empty_like(w_queue)
-        qtest = np.empty_like(w_queue)
-        qthr = np.empty_like(w_queue)
-        w_x2 = np.empty_like(w_x)
-        total = np.empty_like(w_x)
-        xdiff = np.empty_like(w_x)
-        xthr = np.empty_like(w_x)
-        wscratch = np.empty_like(w_queue) if weighted else None
-    finished_python = False
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for it in range(1, max_iter + 1):
-            if len(idx) <= _PYTHON_TAIL_MAX:
-                # The tail: so few rows that array-call overhead dominates.
-                _finish_rows_python(
-                    idx, w_qd, w_N, w_z, w_x, w_queue, w_mult,
-                    guard_div, it, tol, max_iter, x, queue, iters, active,
-                )
-                finished_python = True
-                break
-            # residence = w_qd * (1.0 + (w_queue * w_Nm1) / w_Ncol)
-            np.multiply(w_queue, w_Nm1, out=scratch)
-            np.divide(scratch, w_Ncol, out=scratch)
-            np.add(scratch, 1.0, out=scratch)
-            np.multiply(scratch, w_qd, out=scratch)
-            # total = w_z + (residence · multiplicity).sum(axis=1)
-            if weighted:
-                np.multiply(scratch, w_mult, out=wscratch)
-                wscratch.sum(axis=1, out=total)
-            else:
-                scratch.sum(axis=1, out=total)
-            np.add(total, w_z, out=total)
-            if guard_div:
-                x_new = np.where(total > 0, w_N / total, np.inf)
-                w_x2[:] = x_new
-            else:
-                np.divide(w_N, total, out=w_x2)
-            # queue_new = x_new[:, None] * residence (in place over scratch)
-            np.multiply(scratch, w_x2[:, None], out=scratch)
-            # Throughput test first; the (more expensive) queue test only
-            # runs for iterations where some row is actually a candidate.
-            np.subtract(w_x2, w_x, out=xdiff)
-            np.abs(xdiff, out=xdiff)
-            np.maximum(w_x2, 1e-12, out=xthr)
-            np.multiply(xthr, tol, out=xthr)
-            conv = xdiff <= xthr
-            any_conv = bool(conv.any())
-            if any_conv:
-                np.subtract(scratch, w_queue, out=qtest)
-                np.abs(qtest, out=qtest)
-                np.maximum(scratch, 1e-9, out=qthr)
-                np.multiply(qthr, tol, out=qthr)
-                conv &= (qtest <= qthr).all(axis=1)
-                any_conv = bool(conv.any())
-            w_x, w_x2 = w_x2, w_x
-            w_queue, scratch = scratch, w_queue
-            if any_conv:
-                done = idx[conv]
-                x[done] = w_x[conv]
-                queue[done] = w_queue[conv]
-                iters[done] = it
-                active[done] = False
-                keep = ~conv
-                if not keep.any():
-                    break
-                idx = idx[keep]
-                w_qd, w_N, w_z = w_qd[keep], w_N[keep], w_z[keep]
-                w_x, w_queue = w_x[keep], w_queue[keep]
-                if weighted:
-                    w_mult = w_mult[keep]
-                    wscratch = np.empty_like(w_queue)
-                w_Ncol = w_N[:, None]
-                w_Nm1 = w_Ncol - 1.0
-                scratch = np.empty_like(w_queue)
-                qtest = np.empty_like(w_queue)
-                qthr = np.empty_like(w_queue)
-                w_x2 = np.empty_like(w_x)
-                total = np.empty_like(w_x)
-                xdiff = np.empty_like(w_x)
-                xthr = np.empty_like(w_x)
-    if active.any():
-        if not finished_python:
-            x[idx] = w_x
-            queue[idx] = w_queue
-            iters[idx] = max_iter
-        for i in np.nonzero(active)[0]:
-            warnings.warn(
-                f"MVA fixed point did not converge within {max_iter} "
-                f"iterations (N={networks[i].population}, {n} stations); "
-                f"returning the last iterate",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-
-    residence = (
-        q_demand * (1.0 + queue * (N[:, None] - 1.0) / N[:, None]) + s_delay
-    )
-    utilization = np.minimum(x[:, None] * demand / servers, 1.0)
-    if weighted:
-        resp = (residence * mult).sum(axis=1) + extra
-    else:
-        resp = residence.sum(axis=1) + extra
-    out_queue = queue + x[:, None] * s_delay
-    results = []
-    for i, net in enumerate(networks):
-        results.append(
-            MvaResult(
-                throughput=float(x[i]),
-                response_time=float(resp[i]),
-                residence={
-                    s.name: float(r)
-                    for s, r in zip(net.stations, residence[i])
-                },
-                queue={
-                    s.name: float(q)
-                    for s, q in zip(net.stations, out_queue[i])
-                },
-                utilization={
-                    s.name: float(u)
-                    for s, u in zip(net.stations, utilization[i])
-                },
-                iterations=int(iters[i]),
-                converged=not bool(active[i]),
-            )
+    # Pole divided out: in y, the bottleneck replica's queue, the
+    # population equation is sum_j w_j*y/(1 + b_j*y) = N.  The think
+    # term leads; a bottleneck station has b = 0 exactly.
+    w = [z / d_max] + [m * d / d_max for m, d in zip(mult, q_demand)]
+    b = [a] + [a * (d_max - d) / d_max for d in q_demand]
+    terms = list(zip(w, b))
+    # Two lower bounds on the root: the tangent at 0 (the terms are
+    # concave) and the linear asymptote (each b > 0 term stays below
+    # w/b).  Newton on a concave increasing function climbs from below.
+    linear = sum(wj for wj, bj in terms if bj <= 0.0)
+    ceiling = sum(wj / bj for wj, bj in terms if bj > 0.0)
+    y = max(N / sum(w), (N - ceiling) / linear)
+    it = 0
+    converged = False
+    for it in range(1, max_iter + 1):
+        f = -N
+        slope = 0.0
+        for wj, bj in terms:
+            g = 1.0 + bj * y
+            f += wj * y / g
+            slope += wj / (g * g)
+        if f >= 0.0:  # at the root up to rounding: iterates climb to it
+            converged = True
+            break
+        step = -f / slope
+        y += step
+        if step <= _STEP_TOL * y:
+            converged = True
+            break
+    if not converged:
+        warnings.warn(
+            f"MVA fixed point did not converge within {max_iter} "
+            f"iterations (N={net.population}, {len(stations)} stations); "
+            f"returning the last iterate",
+            RuntimeWarning,
+            stacklevel=3,
         )
-    return results
+
+    lift = 1.0 + a * y  # 1/(1 - a*r) at the bottleneck
+    x = y / (d_max * lift)
+    residence: dict[str, float] = {}
+    queue: dict[str, float] = {}
+    utilization: dict[str, float] = {}
+    response = net.extra_delay
+    for s, m, d, sd, bk in zip(stations, mult, q_demand, s_delay, b[1:]):
+        # 1 - a*r_k = (1 + b_k*y)/lift, free of cancellation near the pole.
+        g = 1.0 + bk * y
+        r = d * lift / g + sd
+        residence[s.name] = r
+        queue[s.name] = d / d_max * y / g + x * sd
+        utilization[s.name] = min(x * d, 1.0)
+        response += m * r
+    return MvaResult(
+        throughput=x,
+        response_time=response,
+        residence=residence,
+        queue=queue,
+        utilization=utilization,
+        iterations=it,
+        converged=converged,
+    )
 
 
 def solve_mva_batch(
     networks: Sequence[MvaNetwork],
-    tol: float = 1e-7,
     max_iter: int = 10_000,
 ) -> list[MvaResult]:
-    """Solve B independent closed networks in one vectorized fixed point.
+    """Solve independent closed networks, in submission order.
 
-    Networks are grouped by ``(method, station count)`` and each group is
-    solved with the stations stacked on a batch axis; a per-row
-    convergence mask freezes rows that have met the tolerance while the
-    rest keep iterating.  Rows requesting ``method="fluid"`` run the
-    population-independent kernel of :mod:`repro.model.fluid` — a batch
-    may mix exact and fluid rows freely.  Results are returned in
-    submission order and are bit-identical to calling :func:`solve_mva`
-    (or :func:`repro.model.fluid.solve_mva_fluid`) on each network alone
-    (grouping avoids padding, which would perturb the pairwise summation
-    order within a row).
+    Each row runs its own root-find (:class:`MvaNetwork` ``method``
+    picks the coefficient), so a row's result never depends on what
+    else shares the batch: it equals :func:`solve_mva` (or
+    :func:`solve_mva_fluid`) on that network alone, bit for bit.
     """
-    # Deferred to dodge the module cycle (fluid builds MvaNetwork rows).
-    from repro.model.fluid import _solve_fluid_group
+    return [_solve_network(net, max_iter) for net in networks]
 
-    results: list[MvaResult | None] = [None] * len(networks)
-    groups: dict[tuple[str, int], list[int]] = {}
-    for i, net in enumerate(networks):
-        n = len(net.stations)
-        if n == 0:
-            total_delay = net.think_time + net.extra_delay
-            x = (
-                net.population / total_delay
-                if total_delay > 0
-                else float("inf")
-            )
-            results[i] = MvaResult(x, net.extra_delay, {}, {}, {}, 0)
-        else:
-            groups.setdefault((net.method, n), []).append(i)
-    for (method, _), indices in groups.items():
-        if method == "fluid":
-            solved = _solve_fluid_group([networks[i] for i in indices])
-        else:
-            solved = _solve_batch_group(
-                [networks[i] for i in indices], tol, max_iter
-            )
-        for i, result in zip(indices, solved):
-            results[i] = result
-    assert all(r is not None for r in results)
-    return results  # type: ignore[return-value]
+
+def solve_mva(
+    stations: Sequence[Station],
+    population: int,
+    think_time: float,
+    extra_delay: float = 0.0,
+    max_iter: int = 10_000,
+) -> MvaResult:
+    """Solve the closed network at Schweitzer's fixed point.
+
+    Parameters
+    ----------
+    stations:
+        Queueing stations (multi-server handled via Seidmann).
+    population:
+        Number of circulating customers (emulated browsers), >= 1.
+    think_time:
+        Pure delay per cycle (EB think time), seconds.
+    extra_delay:
+        Additional pure delay per cycle (e.g. pool waiting times computed by
+        an outer fixed point, or network propagation).
+    max_iter:
+        Newton step cap; exhausting it warns and returns the last iterate.
+    """
+    net = MvaNetwork(tuple(stations), population, think_time, extra_delay)
+    return _solve_network(net, max_iter)
+
+
+def solve_mva_fluid(
+    stations: Sequence[Station],
+    population: int,
+    think_time: float,
+    extra_delay: float = 0.0,
+) -> MvaResult:
+    """Solve the closed network in the fluid (mean-field) limit.
+
+    Accepts exactly the inputs of :func:`solve_mva` and returns the same
+    result shape at the same, population-independent cost.  As ``N → ∞``
+    the solution lands on the asymptotic bottleneck regime
+    ``X → 1/max D_k`` with all excess population queued at the
+    bottleneck.  At small populations the open-queue backlog overstates
+    queueing (one customer, no think time: ``X = 1/(2D)``), which is why
+    the :class:`repro.model.analytic.AnalyticBackend` ``"auto"`` policy
+    keeps Schweitzer below a population threshold.
+    """
+    net = MvaNetwork(
+        tuple(stations), population, think_time, extra_delay, method="fluid"
+    )
+    return _solve_network(net, 10_000)
 
 
 def solve_mva_exact(

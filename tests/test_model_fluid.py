@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.model.fluid import solve_mva_fluid
 from repro.model.mva import (
     MvaNetwork,
     Station,
     solve_mva,
     solve_mva_batch,
     solve_mva_exact,
+    solve_mva_fluid,
 )
 
 #: Station sets for the parametrized exact-vs-fluid comparisons.

@@ -1,10 +1,9 @@
 """The batched MVA solver must match the scalar solver, bit for bit.
 
-The batch path exists purely for speed: rows are stacked on a batch axis,
-solved in one vectorized fixed point, and compacted away as they
-converge.  None of that may change numbers — the contract (and what the
-experiment pipeline's determinism rests on) is that every field of every
-result equals the scalar solver's output exactly.  The property-style
+The batch entry point solves each row on its own, exactly as the scalar
+solver does.  The contract (and what the experiment pipeline's
+determinism rests on) is that every field of every result equals the
+scalar solver's output exactly, whatever else shares the batch.  The property-style
 test below checks that across randomized station sets, populations and
 multi-server configurations, far beyond the issue's 1e-10 bar.
 """

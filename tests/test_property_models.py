@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.model.mva import Station, solve_mva
+from repro.model.mva import (
+    MVA_METHODS,
+    MvaNetwork,
+    Station,
+    solve_mva,
+    solve_mva_batch,
+)
 from repro.model.pools import mmck
 from repro.tpcw.catalog import Catalog
 from repro.util.stats import RunningStats
@@ -15,6 +21,65 @@ from repro.util.stats import RunningStats
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 )
+
+#: (demand, servers) per station, as the MVA invariants draw them.
+mva_station_specs = st.lists(
+    st.tuples(
+        st.floats(min_value=1e-4, max_value=1.0),
+        st.integers(min_value=1, max_value=8),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@st.composite
+def mva_networks(draw):
+    """Random closed networks: multi-server and aggregated stations."""
+    specs = draw(mva_station_specs)
+    stations = tuple(
+        Station(f"s{i}", d, c, draw(st.integers(min_value=1, max_value=4)))
+        for i, (d, c) in enumerate(specs)
+    )
+    return MvaNetwork(
+        stations,
+        draw(st.integers(min_value=1, max_value=500)),
+        draw(st.floats(min_value=0.0, max_value=100.0)),
+        draw(st.floats(min_value=0.0, max_value=0.1)),
+        draw(st.sampled_from(MVA_METHODS)),
+    )
+
+
+def _recurrence_throughput(net: MvaNetwork) -> float:
+    """Reference: iterate the Schweitzer recurrence to a 1e-13 fixed point.
+
+    The textbook sweep (queue seen on arrival -> residence -> throughput
+    -> queue), with the arrival coefficient of the row's method.  Near
+    saturation the sweep contracts slowly, so it stops on the geometric
+    estimate of the distance still to go, not on the last step alone.
+    """
+    n = float(net.population)
+    a = 1.0 if net.method == "fluid" else (n - 1.0) / n
+    qd = [s.demand / s.servers for s in net.stations]
+    m = [s.multiplicity for s in net.stations]
+    z = net.think_time + net.extra_delay + sum(
+        mk * s.demand * (s.servers - 1) / s.servers
+        for mk, s in zip(m, net.stations)
+    )
+    q = [n / sum(m) / 2.0] * len(qd)
+    x, last = 0.0, math.inf
+    for _ in range(1_000_000):
+        r = [d * (1.0 + a * qk) for d, qk in zip(qd, q)]
+        x_new = n / (z + sum(mk * rk for mk, rk in zip(m, r)))
+        q = [x_new * rk for rk in r]
+        step, x = abs(x_new - x), x_new
+        rho = step / last  # contraction factor of the sweep
+        if step <= 4e-16 * x:  # at the rounding floor
+            return x
+        if rho < 1.0 and step <= 1e-13 * x * (1.0 - rho):
+            return x
+        last = step
+    raise AssertionError("reference recurrence did not converge")
 
 
 class TestRunningStatsProperties:
@@ -48,14 +113,7 @@ class TestRunningStatsProperties:
 class TestMvaProperties:
     @settings(max_examples=60, deadline=None)
     @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=1e-4, max_value=1.0),
-                st.integers(min_value=1, max_value=8),
-            ),
-            min_size=1,
-            max_size=5,
-        ),
+        mva_station_specs,
         st.integers(min_value=1, max_value=500),
         st.floats(min_value=0.0, max_value=100.0),
     )
@@ -85,6 +143,38 @@ class TestMvaProperties:
         x1 = solve_mva(stations, n, 1.0).throughput
         x2 = solve_mva(stations, n + 10, 1.0).throughput
         assert x2 >= x1 - 1e-6
+
+
+class TestMvaKernelProperties:
+    """The root-find kernel against the recurrence and operational laws."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(mva_networks())
+    def test_matches_recurrence_fixed_point(self, net):
+        (res,) = solve_mva_batch([net])
+        reference = _recurrence_throughput(net)
+        assert abs(res.throughput - reference) <= 1e-11 * reference
+
+    @settings(max_examples=120, deadline=None)
+    @given(mva_networks())
+    def test_operational_laws(self, net):
+        (res,) = solve_mva_batch([net])
+        n = net.population
+        x = res.throughput
+        assert res.converged
+        # Population conservation: think, pure delays and queues hold N.
+        held = x * (net.think_time + net.extra_delay) + sum(
+            s.multiplicity * res.queue[s.name] for s in net.stations
+        )
+        assert abs(held - n) <= 1e-12 * n
+        # Little's law over the whole cycle.
+        cycle = x * (res.response_time + net.think_time)
+        assert cycle == pytest.approx(n, rel=1e-12)
+        # Utilization law, capped at saturation.
+        for s in net.stations:
+            assert res.utilization[s.name] == pytest.approx(
+                min(x * s.demand / s.servers, 1.0), rel=1e-12
+            )
 
 
 class TestMmckProperties:

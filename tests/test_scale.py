@@ -7,6 +7,14 @@ from repro.cluster.topology import ClusterSpec
 from repro.experiments.runner import ExperimentConfig
 from repro.model.analytic import APPROXIMATIONS, AnalyticBackend
 from repro.model.base import Scenario
+from repro.model.mva import (
+    MVA_METHODS,
+    MvaNetwork,
+    Station,
+    solve_mva,
+    solve_mva_batch,
+    solve_mva_fluid,
+)
 from repro.model.noise import NoiseModel
 from repro.tpcw.interactions import STANDARD_MIXES
 from repro.util.units import parse_count
@@ -100,16 +108,17 @@ class TestApproximationKnob:
             backend = AnalyticBackend(approximation=mode)
             assert backend.resolve_modes(cluster, 100) == expected
 
-    def test_exact_refuses_huge_population(self):
-        backend = AnalyticBackend(approximation="exact")
+    def test_exact_measures_huge_population(self):
+        # The inner solve costs the same at any N, so "exact" (per-node
+        # Schweitzer) needs no population cap.
         cluster = ClusterSpec.three_tier(1, 1, 1)
-        with pytest.raises(ValueError, match="refuses population"):
-            backend.resolve_modes(cluster, 1_000_000)
-        # ... and the limit is adjustable for those who mean it.
-        lenient = AnalyticBackend(
-            approximation="exact", max_exact_population=10**9
+        scenario = _scenario(cluster, population=1_000_000)
+        backend = AnalyticBackend(
+            approximation="exact", noise=NoiseModel(0.0, 0.0, 0.0)
         )
-        lenient.resolve_modes(cluster, 1_000_000)
+        m = backend.measure(scenario, cluster.default_configuration(), seed=0)
+        assert m.wips > 0
+        assert m.diagnostics["solver.fluid"] == 0.0
 
     def test_auto_matches_exact_below_thresholds(self):
         # Below both thresholds "auto" must reproduce the exact path bit
@@ -171,6 +180,34 @@ class TestApproximationKnob:
         assert set(m.utilization) == {
             p.node_id for p in cluster.placements
         }
+
+
+class TestPopulationIndependentKernel:
+    """One kernel for both methods: bounded steps and agreement at any N."""
+
+    STATIONS = [
+        Station("cpu", 0.010, servers=2),
+        Station("disk", 0.012),
+        Station("nic", 0.004, multiplicity=3),
+        Station("pool", 0.030, servers=8),
+    ]
+
+    @pytest.mark.parametrize("method", MVA_METHODS)
+    @pytest.mark.parametrize(
+        "population", [1, 2, 10, 1_000, 1_000_000, 10**9]
+    )
+    def test_iteration_bound(self, method, population):
+        (res,) = solve_mva_batch(
+            [MvaNetwork(tuple(self.STATIONS), population, 7.0, 0.005, method)]
+        )
+        assert res.converged
+        assert 1 <= res.iterations <= 60
+
+    @pytest.mark.parametrize("population", [10**5, 10**6, 10**7, 10**9])
+    def test_schweitzer_meets_fluid_at_large_n(self, population):
+        schweitzer = solve_mva(self.STATIONS, population, 7.0).throughput
+        fluid = solve_mva_fluid(self.STATIONS, population, 7.0).throughput
+        assert abs(schweitzer - fluid) / fluid <= 2.0 / population
 
 
 class TestScaleExperiment:
